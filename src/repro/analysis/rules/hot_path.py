@@ -23,11 +23,11 @@ is array-shaped: a bare parameter of the function (directly or through
 single C-level comprehension building a result list is often the
 materialisation boundary itself.
 
-Legitimate scalar fallbacks (the documented cold-buffer paths that
-amortise flat-view construction) stay, suppressed per site::
+Legitimate per-element paths (a structure's scalar probe primitive next
+to its batch path) stay, suppressed per site with a rationale::
 
-    # repro: ignore[REP004] -- documented scalar fallback below the
-    #                          flat-view debt threshold
+    # repro: ignore[REP004] -- per-key descent is the tree's point-probe
+    #                          primitive; the batch path is *_segmented
 """
 
 from __future__ import annotations

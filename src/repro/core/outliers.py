@@ -18,13 +18,9 @@ from typing import Iterator
 import numpy as np
 
 from repro.index.base import KeyRange, tid_items
+from repro.segments import BISECT_PROBE_COST, FlatView, offsets_from_counts
 from repro.storage.identifiers import TupleId
 from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
-
-# Scalar-path cost of one batched range probe in flat-view
-# entry-equivalents (two bisects plus per-call Python overhead); drives
-# the same amortisation accounting as the B+-tree's segmented probes.
-_PROBE_COST = 8
 
 
 class OutlierBuffer:
@@ -43,12 +39,10 @@ class OutlierBuffer:
         self._entries: dict[float, list[TupleId]] = defaultdict(list)
         self._sorted_keys: list[float] = []
         self._count = 0
-        # Flat view for lookup_many, dropped on any write; the debt counter
-        # defers the O(k) flatten until batch traffic has paid for it
-        # (mirrors BPlusTree._use_flat_view — demoted leaves can hold a
-        # large fraction of the table here, so a cold flatten is not free).
-        self._flat_view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._flat_debt = 0
+        # Flat view for lookup_many, dropped on any write and built only
+        # once a write-free window's batches pay for it — demoted leaves
+        # can hold a large fraction of the table, so a flatten is not free.
+        self._flat_view = FlatView()
 
     def add(self, target_value: float, tid: TupleId) -> None:
         """Record ``tid`` as an outlier with target value ``target_value``."""
@@ -56,7 +50,7 @@ class OutlierBuffer:
             bisect.insort(self._sorted_keys, target_value)
         self._entries[target_value].append(tid)
         self._count += 1
-        self._flat_view = None
+        self._flat_view.drop()
 
     def add_many(self, target_values, tids) -> None:
         """Batched :meth:`add`: group by value, extend each bucket once.
@@ -91,7 +85,7 @@ class OutlierBuffer:
             # Both runs are sorted, so Timsort merges them in one pass.
             self._sorted_keys = sorted(self._sorted_keys + new_keys)
         self._count += count
-        self._flat_view = None
+        self._flat_view.drop()
 
     def remove(self, target_value: float, tid: TupleId) -> bool:
         """Remove ``tid`` from the bucket of ``target_value``.
@@ -112,7 +106,7 @@ class OutlierBuffer:
                     and self._sorted_keys[position] == target_value):
                 self._sorted_keys.pop(position)
         self._count -= 1
-        self._flat_view = None
+        self._flat_view.drop()
         return True
 
     def lookup(self, target_range: KeyRange) -> list[TupleId]:
@@ -122,8 +116,25 @@ class OutlierBuffer:
         the result is one flat list that callers (the vectorized Hermit
         lookup) can hand to ``np.asarray`` without a second copy.
         """
-        start = bisect.bisect_left(self._sorted_keys, target_range.low)
-        stop = bisect.bisect_right(self._sorted_keys, target_range.high)
+        return self._range_tids(target_range.low, target_range.high)
+
+    def lookup_many(self, lows: np.ndarray, highs: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`lookup`: one segmented result for many ranges.
+
+        Returns ``(tids, offsets)`` in the ``repro.segments`` layout — query
+        ``i`` owns ``tids[offsets[i]:offsets[i + 1]]``, in the same key-major
+        bucket order as the scalar path.  :class:`~repro.segments.FlatView`
+        serves the batch off the flat view once it pays off inside the
+        current write-free window, and per range otherwise.
+        """
+        return self._flat_view.probe(lows, highs, BISECT_PROBE_COST,
+                                     self._count, self._flattened,
+                                     self._range_tids)
+
+    def _range_tids(self, low: float, high: float) -> list[TupleId]:
+        start = bisect.bisect_left(self._sorted_keys, low)
+        stop = bisect.bisect_right(self._sorted_keys, high)
         if start == stop:
             return []
         entries = self._entries
@@ -132,66 +143,22 @@ class OutlierBuffer:
         ))
 
     def _flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted keys, per-key tid offsets and flat tids, cached until a write.
+        """Build the flat view: sorted keys, per-key tid offsets, flat tids.
 
-        The flat view is what makes :meth:`lookup_many` a pure array pass:
-        tids are concatenated bucket-by-bucket in key order — exactly the
+        Tids are concatenated bucket-by-bucket in key order — exactly the
         order :meth:`lookup` emits — so a batch of range probes reduces to
-        two ``searchsorted`` calls and one gather.  Rebuilt lazily after any
-        mutation; lookups between writes (the common read-heavy pattern)
-        share one rebuild.
+        two ``searchsorted`` calls and one gather.
         """
-        if self._flat_view is None:
-            keys = np.asarray(self._sorted_keys, dtype=np.float64)
-            counts = np.fromiter(
-                (len(self._entries[key]) for key in self._sorted_keys),
-                dtype=np.int64, count=len(self._sorted_keys),
-            )
-            offsets = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            flat = list(chain.from_iterable(
-                self._entries[key] for key in self._sorted_keys
-            ))
-            tids = np.asarray(flat) if flat else np.empty(0, dtype=np.int64)
-            self._flat_view = (keys, offsets, tids)
-        return self._flat_view
-
-    def lookup_many(self, lows: np.ndarray, highs: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`lookup`: one segmented result for many ranges.
-
-        Returns ``(tids, offsets)`` in the ``repro.segments`` layout — query
-        ``i`` owns ``tids[offsets[i]:offsets[i + 1]]``, in the same key-major
-        bucket order as the scalar path.  Small batches on a cold buffer
-        fall back to per-range :meth:`lookup` walks and accumulate debt
-        until the flatten pays for itself (see ``_flat_view``).
-        """
-        from repro.segments import run_indices
-
-        count = int(np.asarray(lows).size)
-        if (self._flat_view is None
-                and self._flat_debt + _PROBE_COST * count < self._count):
-            segments: list[list[TupleId]] = []
-            offsets = np.zeros(count + 1, dtype=np.int64)
-            total = 0
-            # repro: ignore[REP004] -- documented scalar fallback while the
-            # flat-view debt counter says a cold flatten would cost more
-            for position, (low, high) in enumerate(
-                    zip(np.asarray(lows).tolist(), np.asarray(highs).tolist())):
-                flat = self.lookup(KeyRange(low, high))
-                segments.append(flat)
-                total += len(flat)
-                offsets[position + 1] = total
-            self._flat_debt += 2 * total + _PROBE_COST * count
-            merged = list(chain.from_iterable(segments))
-            tids = (np.asarray(merged) if merged
-                    else np.empty(0, dtype=np.int64))
-            return tids, offsets
-        keys, key_offsets, tids = self._flattened()
-        starts = np.searchsorted(keys, lows, side="left")
-        stops = np.searchsorted(keys, highs, side="right")
-        indices, offsets = run_indices(key_offsets[starts], key_offsets[stops])
-        return tids[indices], offsets
+        keys = np.asarray(self._sorted_keys, dtype=np.float64)
+        counts = np.fromiter(
+            (len(self._entries[key]) for key in self._sorted_keys),
+            dtype=np.int64, count=len(self._sorted_keys),
+        )
+        flat = list(chain.from_iterable(
+            self._entries[key] for key in self._sorted_keys
+        ))
+        tids = np.asarray(flat) if flat else np.empty(0, dtype=np.int64)
+        return keys, offsets_from_counts(counts), tids
 
     def lookup_point(self, target_value: float) -> list[TupleId]:
         """Tuple identifiers stored exactly under ``target_value``."""
@@ -214,7 +181,7 @@ class OutlierBuffer:
         self._entries.clear()
         self._sorted_keys.clear()
         self._count = 0
-        self._flat_view = None
+        self._flat_view.drop()
 
     def memory_bytes(self) -> int:
         """Analytic size in bytes."""

@@ -8,35 +8,29 @@ column behaves.
 
 The implementation is a textbook B+-tree: sorted keys inside fixed-capacity
 nodes, leaf-level sibling chaining for range scans, top-down descent with
-bottom-up splits.  Deletion removes entries but does not rebalance (leaves may
-become under-full); this keeps the structure simple and does not affect any of
-the reproduced experiments, none of which depend on shrink-side rebalancing.
+bottom-up splits.  Leaves hold one ``(key, tid)`` entry per slot in two
+parallel lists — a key stored under several tids repeats, and its run may
+span leaves — so an entry costs two list slots instead of a per-key tid
+list, and a range walk copies one ``tids`` slice per leaf.  Deletion
+removes entries but does not rebalance (leaves may become under-full);
+this keeps the structure simple and does not affect any of the reproduced
+experiments, none of which depend on shrink-side rebalancing.
 """
 
 from __future__ import annotations
 
 import bisect
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import KeyNotFoundError, StorageError
 from repro.index.base import Index, KeyRange, tid_items
-from repro.segments import empty_offsets, run_indices
+from repro.segments import BISECT_PROBE_COST, RANGE_WALK_COST, FlatView
 from repro.storage.identifiers import TupleId
 from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
 
 DEFAULT_NODE_CAPACITY = 32
-
-# Amortisation accounting for ``_use_flat_view``, in flat-view
-# entry-equivalents: the per-probe constants price a root-to-leaf descent
-# plus per-call Python overhead, and every entry a scalar probe touches is
-# charged ``_TOUCHED_ENTRY_COST`` because the fragmented per-range
-# chain/asarray passes cost roughly twice the one bulk pass of a flatten.
-_RANGE_PROBE_COST = 32
-_POINT_PROBE_COST = 8
-_TOUCHED_ENTRY_COST = 2
 
 
 class _Node:
@@ -47,12 +41,12 @@ class _Node:
 
 
 class _LeafNode(_Node):
-    __slots__ = ("values", "next_leaf")
+    __slots__ = ("tids", "next_leaf")
 
     def __init__(self) -> None:
         super().__init__()
-        # values[i] is the list of tuple ids stored under keys[i]
-        self.values: list[list[TupleId]] = []
+        # tids[i] is stored under keys[i]; equal keys keep insertion order
+        self.tids: list[TupleId] = []
         self.next_leaf: _LeafNode | None = None
 
     @property
@@ -91,13 +85,10 @@ class BPlusTree(Index):
         self._root: _Node = _LeafNode()
         self._num_entries = 0
         self._height = 1
-        # Lazily built flattened view of the leaf level for the segmented
-        # batch probes; any write drops it (see _flattened).  The debt
-        # counter accumulates the scalar-path work of batches that skipped
-        # the O(n) flatten, so the view is only built once batch traffic
-        # would have paid for it (see _use_flat_view).
-        self._flat_view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._flat_debt = 0
+        # Flattened view of the leaf level for the segmented batch probes,
+        # built only once a write-free window's batches pay for it; every
+        # write drops it (see repro.segments.FlatView).
+        self._flat_view = FlatView()
 
     # ------------------------------------------------------------------ write
 
@@ -113,7 +104,7 @@ class BPlusTree(Index):
             self._root = new_root
             self._height += 1
         self._num_entries += 1
-        self._flat_view = None
+        self._flat_view.drop()
 
     def delete(self, key: float, tid: TupleId) -> None:
         """Remove one occurrence of ``key -> tid``.
@@ -123,22 +114,26 @@ class BPlusTree(Index):
         """
         self.stats.deletes += 1
         key = float(key)
-        leaf = self._find_leaf(key)
-        index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            tids = leaf.values[index]
-            try:
-                tids.remove(tid)
-            except ValueError:
-                raise KeyNotFoundError(
-                    f"tid {tid!r} is not stored under key {key!r}"
-                ) from None
-            if not tids:
-                leaf.keys.pop(index)
-                leaf.values.pop(index)
-            self._num_entries -= 1
-            self._flat_view = None
-            return
+        leaf: _LeafNode | None = self._find_leaf(key)
+        start = bisect.bisect_left(leaf.keys, key)
+        found = False
+        while leaf is not None:
+            stop = bisect.bisect_right(leaf.keys, key, start)
+            found = found or stop > start
+            if tid in leaf.tids[start:stop]:
+                position = leaf.tids.index(tid, start, stop)
+                del leaf.keys[position]
+                del leaf.tids[position]
+                self._num_entries -= 1
+                self._flat_view.drop()
+                return
+            if stop < len(leaf.keys):
+                break
+            leaf = leaf.next_leaf
+            start = 0
+        if found:
+            raise KeyNotFoundError(
+                f"tid {tid!r} is not stored under key {key!r}")
         raise KeyNotFoundError(f"key {key!r} is not in the index")
 
     def insert_many(self, keys: Sequence[float] | np.ndarray,
@@ -147,12 +142,12 @@ class BPlusTree(Index):
 
         The batch is sorted once and pushed down the tree recursively: each
         internal node partitions the sorted run among its children with one
-        bisect per separator, and each touched leaf merges its sorted keys
-        with the incoming run in a single two-pointer pass.  Overfull nodes
-        split into however many nodes they need in one step (a batch can
-        overflow a leaf by far more than one key), so the cost is one
-        partition pass plus one merge per touched leaf instead of one root
-        descent per key.
+        bisect per separator, and each touched leaf merges its sorted
+        entries with the incoming run in one stable sort of the two runs.
+        Overfull nodes split into however many nodes they need in one step
+        (a batch can overflow a leaf by far more than one key), so the cost
+        is one partition pass plus one merge per touched leaf instead of one
+        root descent per key.
         """
         keys = np.asarray(keys, dtype=np.float64)
         items = tid_items(tids)
@@ -179,7 +174,7 @@ class BPlusTree(Index):
             splits = (self._multi_split_internal(new_root)
                       if len(new_root.keys) > self.node_capacity else None)
         self._num_entries += int(keys.size)
-        self._flat_view = None
+        self._flat_view.drop()
 
     def bulk_load(self, pairs: Iterable[tuple[float, TupleId]]) -> None:
         """Build the tree from (key, tid) pairs.
@@ -204,23 +199,12 @@ class BPlusTree(Index):
         if not ordered:
             return
         fill = max(4, int(self.node_capacity * 0.7))
-        leaves: list[_LeafNode] = []
-        current = _LeafNode()
-        for key, tid in ordered:
-            if current.keys and current.keys[-1] == key:
-                current.values[-1].append(tid)
-            else:
-                if len(current.keys) >= fill:
-                    leaves.append(current)
-                    fresh = _LeafNode()
-                    current.next_leaf = fresh
-                    current = fresh
-                current.keys.append(key)
-                current.values.append([tid])
-            self._num_entries += 1
-        leaves.append(current)
+        first = _LeafNode()
+        siblings = self._pack(first, [key for key, _ in ordered],
+                              [tid for _, tid in ordered])
+        self._num_entries = len(ordered)
 
-        level: list[_Node] = list(leaves)
+        level: list[_Node] = [first] + [leaf for _, leaf in siblings]
         self._height = 1
         while len(level) > 1:
             parents: list[_Node] = []
@@ -236,44 +220,27 @@ class BPlusTree(Index):
             level = parents
             self._height += 1
         self._root = level[0]
-        self._flat_view = None
+        self._flat_view.drop()
 
     # ------------------------------------------------------------------- read
 
     def search(self, key: float) -> list[TupleId]:
         """Return all tuple ids stored under ``key`` (empty list if absent)."""
         self.stats.lookups += 1
-        key = float(key)
-        leaf = self._find_leaf(key)
-        index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            return list(leaf.values[index])
-        return []
+        return self._range_tids(float(key), float(key))
 
     def range_search(self, key_range: KeyRange) -> list[TupleId]:
         """Return all tuple ids whose key lies in the closed ``key_range``."""
         self.stats.range_lookups += 1
-        results: list[TupleId] = []
-        leaf: _LeafNode | None = self._find_leaf(key_range.low)
-        start = bisect.bisect_left(leaf.keys, key_range.low)
-        while leaf is not None:
-            for index in range(start, len(leaf.keys)):
-                key = leaf.keys[index]
-                if key > key_range.high:
-                    return results
-                results.extend(leaf.values[index])
-            leaf = leaf.next_leaf
-            start = 0
-        return results
+        return self._range_tids(key_range.low, key_range.high)
 
     def range_search_array(self, key_range: KeyRange) -> np.ndarray:
         """Array-native range scan: gather whole leaf runs, convert once.
 
         Instead of extending a Python list one key at a time, each visited
-        leaf contributes its matching ``values[start:stop]`` slice (located
-        with two bisects per leaf); the per-key tid lists are flattened with a
-        single C-level ``chain`` pass and converted to one numpy array.  This
-        is the hot path of the vectorized Hermit lookup.
+        leaf contributes its matching ``tids[start:stop]`` slice (located
+        with two bisects per leaf), and the run is converted to one numpy
+        array.  This is the hot path of the vectorized Hermit lookup.
         """
         self.stats.range_lookups += 1
         flat = self._range_tids(key_range.low, key_range.high)
@@ -291,15 +258,11 @@ class BPlusTree(Index):
         """
         keys = [float(key) for key in keys]
         self.stats.lookups += len(keys)
-        runs: list[list[TupleId]] = []
+        flat: list[TupleId] = []
         # repro: ignore[REP004] -- per-key descent is the tree's point-probe
         # primitive; the flat-view batch path is search_many_segmented
         for key in keys:
-            leaf = self._find_leaf(key)
-            index = bisect.bisect_left(leaf.keys, key)
-            if index < len(leaf.keys) and leaf.keys[index] == key:
-                runs.append(leaf.values[index])
-        flat = list(chain.from_iterable(runs))
+            flat += self._range_tids(key, key)
         if not flat:
             return np.empty(0, dtype=np.int64)
         return np.asarray(flat)
@@ -311,42 +274,20 @@ class BPlusTree(Index):
 
         Where the scalar probe pays a root-to-leaf descent plus a Python
         leaf walk per range, the batch resolves *all* ranges against the
-        cached flat view (:meth:`_flattened`) — two ``searchsorted`` passes
-        locate every range's key run and one :func:`~repro.segments.run_indices`
-        gather pulls the tids out.  The O(n) flatten is only worth paying
-        when enough batch traffic amortises it, so small batches on a cold
-        tree keep the per-range leaf walk and accumulate debt instead
-        (:meth:`_use_flat_view`); both paths emit identical segments.
+        flattened leaf level (:meth:`_flattened`) — two ``searchsorted``
+        passes and one gather.  :class:`~repro.segments.FlatView` decides
+        per batch whether the O(n) flatten pays off inside the current
+        write-free window; both paths emit identical segments.
         """
         self.stats.range_lookups += len(ranges)
         count = len(ranges)
-        if not self._use_flat_view(_RANGE_PROBE_COST * count):
-            segments: list[list[TupleId]] = []
-            offsets = np.zeros(count + 1, dtype=np.int64)
-            total = 0
-            # repro: ignore[REP004] -- documented scalar fallback while the
-            # flat-view debt counter says a cold flatten would cost more
-            for position, key_range in enumerate(ranges):
-                flat = self._range_tids(key_range.low, key_range.high)
-                segments.append(flat)
-                total += len(flat)
-                offsets[position + 1] = total
-            self._flat_debt += (_TOUCHED_ENTRY_COST * total
-                                + _RANGE_PROBE_COST * count)
-            merged = list(chain.from_iterable(segments))
-            tids = (np.asarray(merged) if merged
-                    else np.empty(0, dtype=np.int64))
-            return tids, offsets
-        keys, key_offsets, tids = self._flattened()
         lows = np.fromiter((key_range.low for key_range in ranges),
                            dtype=np.float64, count=count)
         highs = np.fromiter((key_range.high for key_range in ranges),
                             dtype=np.float64, count=count)
-        starts = np.searchsorted(keys, lows, side="left")
-        stops = np.searchsorted(keys, highs, side="right")
-        indices, offsets = run_indices(key_offsets[starts],
-                                       key_offsets[stops])
-        return tids[indices], offsets
+        return self._flat_view.probe(lows, highs, RANGE_WALK_COST,
+                                     self._num_entries, self._flattened,
+                                     self._range_tids)
 
     def search_many_segmented(
         self, keys: np.ndarray, offsets: np.ndarray,
@@ -354,61 +295,25 @@ class BPlusTree(Index):
         """Segmented batched point probe off the flattened leaf level.
 
         This is where batching beats B per-query ``search_many`` calls
-        *algorithmically*, not just on dispatch: instead of a full
-        root-to-leaf descent per key, the whole batch binary-searches the
-        cached flat view (:meth:`_flattened`) in one ``searchsorted`` pass
-        and gathers the matching tid runs with one
-        :func:`~repro.segments.run_indices` call.  This is the
-        primary-index resolution pass of the batched executor under
-        logical pointers, where per-key descents dominate the whole
-        lookup.  Probes are resolved in input order, so the per-key runs
-        are already grouped by input segment and the output offsets are a
-        plain fancy-index of the per-key ones.
+        *algorithmically*, not just on dispatch: once the flat view pays
+        off (see :meth:`range_search_segmented`), the whole batch
+        binary-searches it instead of one root-to-leaf descent per key —
+        the primary-index resolution pass of the batched executor under
+        logical pointers.  Probes are resolved in input order, so the
+        output offsets are a plain fancy-index of the per-key ones.
         """
         keys = np.asarray(keys, dtype=np.float64)
-        num_segments = offsets.size - 1
-        if keys.size == 0:
-            return np.empty(0, dtype=np.int64), empty_offsets(num_segments)
         self.stats.lookups += int(keys.size)
-        if not self._use_flat_view(_POINT_PROBE_COST * int(keys.size)):
-            runs: list[list[TupleId]] = []
-            per_key = np.zeros(keys.size + 1, dtype=np.int64)
-            total = 0
-            # repro: ignore[REP004] -- documented scalar fallback while the
-            # flat-view debt counter says a cold flatten would cost more
-            for position, key in enumerate(keys.tolist()):
-                leaf = self._find_leaf(key)
-                index = bisect.bisect_left(leaf.keys, key)
-                if index < len(leaf.keys) and leaf.keys[index] == key:
-                    bucket = leaf.values[index]
-                    runs.append(bucket)
-                    total += len(bucket)
-                per_key[position + 1] = total
-            self._flat_debt += (_TOUCHED_ENTRY_COST * total
-                                + _POINT_PROBE_COST * int(keys.size))
-            merged = list(chain.from_iterable(runs))
-            tids = (np.asarray(merged) if merged
-                    else np.empty(0, dtype=np.int64))
-            return tids, per_key[offsets]
-        flat_keys, key_offsets, tids = self._flattened()
-        if flat_keys.size == 0:
-            return np.empty(0, dtype=np.int64), empty_offsets(num_segments)
-        positions = np.searchsorted(flat_keys, keys, side="left")
-        hit = positions < flat_keys.size
-        safe = np.where(hit, positions, 0)
-        hit &= flat_keys[safe] == keys
-        starts = np.where(hit, key_offsets[safe], 0)
-        stops = np.where(hit, key_offsets[safe + 1], 0)
-        indices, per_key = run_indices(starts, stops)
-        return tids[indices], per_key[offsets]
+        tids, per_key = self._flat_view.probe(
+            keys, None, BISECT_PROBE_COST, self._num_entries,
+            self._flattened, self._range_tids)
+        return tids, per_key[offsets]
 
     def items(self) -> Iterator[tuple[float, TupleId]]:
         """Iterate all (key, tid) pairs in key order."""
         leaf: _LeafNode | None = self._leftmost_leaf()
         while leaf is not None:
-            for key, tids in zip(leaf.keys, leaf.values):
-                for tid in tids:
-                    yield key, tid
+            yield from zip(leaf.keys, leaf.tids)
             leaf = leaf.next_leaf
 
     # ------------------------------------------------------------- accounting
@@ -429,72 +334,54 @@ class BPlusTree(Index):
 
     # ---------------------------------------------------------------- private
 
-    def _use_flat_view(self, projected_cost: int) -> bool:
-        """Should this segmented batch (build and) use the flat view?
-
-        A cached view is always used — it is free.  Otherwise the batch
-        only triggers the O(n) flatten once the scalar work skipped so far
-        (``_flat_debt``, in entry-equivalents) plus this batch's projected
-        probe overhead would have paid for one flatten.  Rare small batches
-        on a big tree therefore never pay O(n), while steady batch traffic
-        converges to the array path after a bounded amount of scalar work;
-        writes drop the view but keep the debt, so a proven batch workload
-        rebuilds it on the first batch of each write-free window.
-        """
-        if self._flat_view is not None:
-            return True
-        return self._flat_debt + projected_cost >= self._num_entries
-
     def _range_tids(self, low: float, high: float) -> list[TupleId]:
         """One leaf-chain range walk, as a flat tid list (no stats bump)."""
-        runs: list[list[TupleId]] = []
+        found: list[TupleId] = []
         leaf: _LeafNode | None = self._find_leaf(low)
         start = bisect.bisect_left(leaf.keys, low)
         while leaf is not None:
             stop = bisect.bisect_right(leaf.keys, high, start)
-            runs.extend(leaf.values[start:stop])
+            found += leaf.tids[start:stop]
             if stop < len(leaf.keys):
                 break
             leaf = leaf.next_leaf
             start = 0
-        return list(chain.from_iterable(runs))
+        return found
 
     def _flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted keys, per-key tid offsets and flat tids of the leaf level.
+        """Build the flat view: distinct keys, per-key tid offsets, tids.
 
-        One walk of the leaf chain materialises the whole key space as
-        ``(keys, key_offsets, tids)`` — key ``i`` owns
-        ``tids[key_offsets[i]:key_offsets[i + 1]]``, tids in per-key
-        insertion order (exactly the order the scalar leaf walk emits).
-        Cached until any write; the segmented batch probes rebuild it at
-        most once per write-free window, turning B leaf walks into two
-        ``searchsorted`` calls and one gather.  The view is a *copy* of the
-        leaf contents, so it costs O(n) extra memory while live — it is
-        built lazily, only for trees that actually serve batched probes.
+        One O(n) walk of the leaf chain concatenates the leaves' parallel
+        lists — tids in exactly the order the scalar leaf walk emits — and
+        one numpy pass finds where each key's run starts.  The view is a
+        *copy* of the leaf contents, so it costs O(n) extra memory while
+        live; :class:`~repro.segments.FlatView` caches it until the next
+        write.
         """
-        if self._flat_view is None:
-            all_keys: list[float] = []
-            all_values: list[list[TupleId]] = []
-            leaf: _LeafNode | None = self._leftmost_leaf()
-            while leaf is not None:
-                all_keys.extend(leaf.keys)
-                all_values.extend(leaf.values)
-                leaf = leaf.next_leaf
-            keys = np.asarray(all_keys, dtype=np.float64)
-            counts = np.fromiter(map(len, all_values), dtype=np.int64,
-                                 count=len(all_values))
-            key_offsets = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=key_offsets[1:])
-            flat = list(chain.from_iterable(all_values))
-            tids = np.asarray(flat) if flat else np.empty(0, dtype=np.int64)
-            self._flat_view = (keys, key_offsets, tids)
-        return self._flat_view
+        keys: list[float] = []
+        tids: list[TupleId] = []
+        leaf: _LeafNode | None = self._leftmost_leaf()
+        while leaf is not None:
+            keys += leaf.keys
+            tids += leaf.tids
+            leaf = leaf.next_leaf
+        entry_keys = np.asarray(keys, dtype=np.float64)
+        first = np.ones(entry_keys.size, dtype=bool)
+        first[1:] = entry_keys[1:] != entry_keys[:-1]
+        starts = np.flatnonzero(first)
+        return (entry_keys[starts], np.append(starts, entry_keys.size),
+                np.asarray(tids) if tids else np.empty(0, dtype=np.int64))
 
     def _find_leaf(self, key: float) -> _LeafNode:
+        """The leftmost leaf that can hold ``key``.
+
+        Inserts route equal keys right (``bisect_right``), but a split can
+        leave part of a key's run left of its separator, so reads route
+        left and walk the leaf chain.
+        """
         node = self._root
         while not node.is_leaf:
-            index = bisect.bisect_right(node.keys, key)
-            node = node.children[index]
+            node = node.children[bisect.bisect_left(node.keys, key)]
         return node  # type: ignore[return-value]
 
     def _leftmost_leaf(self) -> _LeafNode:
@@ -526,12 +413,9 @@ class BPlusTree(Index):
 
     def _insert_into_leaf(self, leaf: _LeafNode, key: float,
                           tid: TupleId) -> tuple[float, _Node] | None:
-        index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            leaf.values[index].append(tid)
-            return None
+        index = bisect.bisect_right(leaf.keys, key)
         leaf.keys.insert(index, key)
-        leaf.values.insert(index, [tid])
+        leaf.tids.insert(index, tid)
         if len(leaf.keys) <= self.node_capacity:
             return None
         return self._split_leaf(leaf)
@@ -573,37 +457,34 @@ class BPlusTree(Index):
 
     def _merge_into_leaf(self, leaf: _LeafNode, keys: list[float],
                          tids: list[TupleId]) -> list[tuple[float, _Node]] | None:
-        """Two-pointer merge of a sorted run into one leaf, multi-splitting."""
-        merged_keys: list[float] = []
-        merged_values: list[list[TupleId]] = []
-        existing_keys, existing_values = leaf.keys, leaf.values
-        i = j = 0
-        n, m = len(existing_keys), len(keys)
-        while i < n or j < m:
-            if j >= m or (i < n and existing_keys[i] <= keys[j]):
-                merged_keys.append(existing_keys[i])
-                merged_values.append(existing_values[i])
-                i += 1
-            elif merged_keys and merged_keys[-1] == keys[j]:
-                merged_values[-1].append(tids[j])
-                j += 1
-            else:
-                merged_keys.append(keys[j])
-                merged_values.append([tids[j]])
-                j += 1
+        """Merge a sorted run into one leaf, multi-splitting when overfull.
+
+        Both runs are sorted, so one stable sort of their concatenation is a
+        C-level merge that keeps the leaf's entries ahead of equal new keys.
+        """
+        all_keys = leaf.keys + keys
+        all_tids = leaf.tids + tids
+        order = sorted(range(len(all_keys)), key=all_keys.__getitem__)
+        merged_keys = [all_keys[position] for position in order]
+        merged_tids = [all_tids[position] for position in order]
         if len(merged_keys) <= self.node_capacity:
-            leaf.keys, leaf.values = merged_keys, merged_values
+            leaf.keys, leaf.tids = merged_keys, merged_tids
             return None
+        return self._pack(leaf, merged_keys, merged_tids)
+
+    def _pack(self, leaf: _LeafNode, keys: list[float],
+              tids: list[TupleId]) -> list[tuple[float, _Node]]:
+        """Refill ``leaf`` with a sorted run at ~70 % fill, chaining fresh
+        siblings for the rest; returns their (separator, leaf) pairs."""
         fill = max(4, int(self.node_capacity * 0.7))
-        leaf.keys = merged_keys[:fill]
-        leaf.values = merged_values[:fill]
         tail = leaf.next_leaf
+        leaf.keys, leaf.tids = keys[:fill], tids[:fill]
         siblings: list[tuple[float, _Node]] = []
         previous = leaf
-        for start in range(fill, len(merged_keys), fill):
+        for start in range(fill, len(keys), fill):
             sibling = _LeafNode()
-            sibling.keys = merged_keys[start:start + fill]
-            sibling.values = merged_values[start:start + fill]
+            sibling.keys = keys[start:start + fill]
+            sibling.tids = tids[start:start + fill]
             previous.next_leaf = sibling
             siblings.append((sibling.keys[0], sibling))
             previous = sibling
@@ -632,9 +513,9 @@ class BPlusTree(Index):
         middle = len(leaf.keys) // 2
         right = _LeafNode()
         right.keys = leaf.keys[middle:]
-        right.values = leaf.values[middle:]
+        right.tids = leaf.tids[middle:]
         leaf.keys = leaf.keys[:middle]
-        leaf.values = leaf.values[:middle]
+        leaf.tids = leaf.tids[:middle]
         right.next_leaf = leaf.next_leaf
         leaf.next_leaf = right
         return right.keys[0], right

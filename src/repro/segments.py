@@ -22,11 +22,22 @@ the index structures, the mechanisms and the engine can all share it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 import numpy as np
 
 _EMPTY_INT64 = np.empty(0, dtype=np.int64)
+
+# Amortisation prices for FlatView.probe, in flat-view entry-equivalents
+# (a flatten costs one per entry).  A probe constant prices one scalar
+# probe's descent or bisects plus its per-call Python overhead; every
+# entry a scalar probe returns costs TOUCHED_ENTRY_COST more, because the
+# fragmented per-probe chain/asarray passes cost about twice the one bulk
+# pass of a flatten.
+RANGE_WALK_COST = 32  # a root-to-leaf descent plus a leaf-chain walk
+BISECT_PROBE_COST = 8  # a descent to one key, or two bisects of a key list
+TOUCHED_ENTRY_COST = 2
 
 
 def empty_offsets(num_segments: int) -> np.ndarray:
@@ -88,6 +99,75 @@ def run_indices(starts: np.ndarray,
     indices += np.repeat(np.asarray(starts, dtype=np.int64) - offsets[:-1],
                          sizes)
     return indices, offsets
+
+
+class FlatView:
+    """Lazily built flat copy of a sorted key -> tid-list map.
+
+    The view is ``(keys, key_offsets, tids)``: distinct keys ascending, and
+    key ``i`` owns ``tids[key_offsets[i]:key_offsets[i + 1]]``.  Against it
+    a batch of probes is one or two ``searchsorted`` passes and one
+    :func:`run_indices` gather instead of one scalar walk per probe.
+    Building it is O(n), so :meth:`probe` only builds it once the scalar
+    work done since the last write (the *debt*) plus this batch's probe
+    cost would have paid for one flatten; until then it walks per probe
+    and adds that work to the debt.  Every mutator of the owner calls
+    :meth:`drop`, which ends the view's life and the window's debt
+    together: a view is only built when batch traffic inside one
+    write-free window repays it, never by reads that each follow a write.
+    """
+
+    __slots__ = ("_arrays", "_debt")
+
+    def __init__(self) -> None:
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._debt = 0
+
+    def drop(self) -> None:
+        """End the view and the write-free window's debt (on every write)."""
+        self._arrays = None
+        self._debt = 0
+
+    def probe(self, lows: np.ndarray, highs: np.ndarray | None,
+              probe_cost: int, size: int,
+              build: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]],
+              walk: Callable[[float, float], list],
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Segmented probe of the closed ranges ``[lows[i], highs[i]]``.
+
+        ``highs=None`` probes the points ``lows`` (one ``searchsorted``
+        pass instead of two).  ``size`` is the owner's entry count (the
+        price of one flatten), ``build`` returns the view and
+        ``walk(low, high)`` is the owner's scalar probe, emitting tids in
+        view order — so both paths return identical segments.
+        """
+        lows = np.asarray(lows, dtype=np.float64)
+        count = int(lows.size)
+        if self._arrays is None and self._debt + probe_cost * count < size:
+            bounds = lows if highs is None else highs
+            runs = [walk(low, high) for low, high
+                    in zip(lows.tolist(), np.asarray(bounds).tolist())]
+            offsets = offsets_from_counts(
+                np.fromiter(map(len, runs), dtype=np.int64, count=count))
+            self._debt += (TOUCHED_ENTRY_COST * int(offsets[-1])
+                           + probe_cost * count)
+            merged = list(chain.from_iterable(runs))
+            return (np.asarray(merged) if merged else _EMPTY_INT64), offsets
+        if self._arrays is None:
+            self._arrays = build()
+        keys, key_offsets, tids = self._arrays
+        if keys.size == 0:
+            return _EMPTY_INT64, empty_offsets(count)
+        positions = np.searchsorted(keys, lows, side="left")
+        starts = key_offsets[positions]
+        if highs is None:
+            found = np.minimum(positions, keys.size - 1)
+            stops = np.where(keys[found] == lows, key_offsets[found + 1],
+                             starts)
+        else:
+            stops = key_offsets[np.searchsorted(keys, highs, side="right")]
+        indices, offsets = run_indices(starts, stops)
+        return tids[indices], offsets
 
 
 def interleave_segments(a_values: np.ndarray, a_offsets: np.ndarray,
@@ -189,8 +269,13 @@ def segmented_unique(values: np.ndarray,
     ids = segment_ids(offsets)
     composite, span, minimum = _composite_keys(values, ids, num_segments)
     if composite is not None:
-        composite = np.unique(composite)
-        kept_ids, kept_values = np.divmod(composite, span)
+        # sort + neighbour mask: several times faster than np.unique,
+        # whose hash-based path dominated the whole batch at 10k elements
+        composite.sort()
+        keep = np.empty(composite.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(composite[1:], composite[:-1], out=keep[1:])
+        kept_ids, kept_values = np.divmod(composite[keep], span)
         kept_values += minimum
         counts = np.bincount(kept_ids, minlength=num_segments)
         return (kept_values.astype(values.dtype, copy=False),

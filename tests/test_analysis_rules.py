@@ -67,6 +67,66 @@ class TestFlatViewInvalidation:
         """, self.RULE())
         assert [f.rule for f in findings] == ["REP001"]
 
+    def test_fires_on_helper_mutator_without_drop(self):
+        findings = findings_for("""
+            class Tree:
+                def __init__(self):
+                    self._num_entries = 0
+                    self._flat_view = FlatView()
+
+                def insert(self, key, tid):
+                    self._num_entries += 1
+        """, self.RULE())
+        assert [f.rule for f in findings] == ["REP001"]
+        assert "Tree.insert" in findings[0].message
+
+    def test_quiet_when_helper_mutator_drops(self):
+        findings = findings_for("""
+            class Tree:
+                def __init__(self):
+                    self._num_entries = 0
+                    self._flat_view = FlatView()
+
+                def insert(self, key, tid):
+                    self._num_entries += 1
+                    self._flat_view.drop()
+        """, self.RULE())
+        assert findings == []
+
+    def test_fires_when_drop_leaves_debt_standing(self):
+        findings = findings_for("""
+            class Buffer:
+                def __init__(self):
+                    self._count = 0
+                    self._flat_view = None
+                    self._flat_debt = 0
+
+                def add(self, key, tid):
+                    self._count += 1
+                    self._flat_view = None
+        """, self.RULE())
+        assert [f.rule for f in findings] == ["REP001"]
+        assert "_flat_debt" in findings[0].message
+        assert "Buffer.add" in findings[0].message
+
+    def test_quiet_when_drop_resets_debt(self):
+        findings = findings_for("""
+            class Buffer:
+                def __init__(self):
+                    self._count = 0
+                    self._flat_view = None
+                    self._flat_debt = 0
+
+                def add(self, key, tid):
+                    self._count += 1
+                    self._flat_view = None
+                    self._flat_debt = 0
+
+                def lookup_many(self, lows, highs):
+                    self._flat_debt += 8 * len(lows)
+        """, self.RULE())
+        assert findings == []
+
     def test_quiet_without_flat_view_cache(self):
         # A class with no _flat_view in __init__ is out of scope even if
         # it mutates identically named state.

@@ -200,3 +200,46 @@ class TestBPlusTreeProperties:
         remaining = sorted(i for i in range(len(keys)) if i not in to_delete)
         found = sorted(tree.range_search(KeyRange(-1.0, 1000.0)))
         assert found == remaining
+
+
+class TestDuplicateRuns:
+    """A key stored under many tids repeats once per tid, and its run spans
+    leaves; every read must find the whole run from its leftmost leaf."""
+
+    def make_tree(self) -> BPlusTree:
+        tree = BPlusTree(node_capacity=4)
+        for tid in range(40):
+            tree.insert(5.0, tid)
+            tree.insert(float(tid % 7), 100 + tid)
+        return tree
+
+    def test_point_and_range_return_whole_run_in_insertion_order(self):
+        tree = self.make_tree()
+        assert tree.height >= 3
+        expected = []
+        for tid in range(40):
+            expected += [tid] + ([100 + tid] if tid % 7 == 5 else [])
+        assert tree.search(5.0) == expected
+        assert len(tree.range_search(KeyRange(5.0, 5.0))) == 45
+        assert len(tree.range_search(KeyRange(4.0, 6.0))) == 40 + 6 + 5 + 5
+        np.testing.assert_array_equal(
+            tree.search_many([5.0, 3.0]),
+            tree.search(5.0) + tree.search(3.0))
+
+    def test_delete_finds_a_tid_anywhere_in_the_run(self):
+        tree = self.make_tree()
+        for tid in (39, 0, 17):
+            tree.delete(5.0, tid)
+        assert 17 not in tree.search(5.0)
+        assert len(tree.search(5.0)) == 42
+        with pytest.raises(KeyNotFoundError, match="not stored under"):
+            tree.delete(5.0, 17)
+        assert tree.num_entries == 77
+
+    def test_insert_many_appends_after_the_existing_run(self):
+        tree = self.make_tree()
+        tree.insert_many([5.0, 5.0, 2.5], [200, 201, 202])
+        assert tree.search(5.0)[-2:] == [200, 201]
+        assert tree.search(2.5) == [202]
+        assert [key for key, _ in tree.items()] == sorted(
+            key for key, _ in tree.items())
